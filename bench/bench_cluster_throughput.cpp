@@ -10,10 +10,8 @@
 // modeled wire), encoded into reused buffers and applied through
 // FpisaSwitch::add_batch with one shard-mutex hold per wave, and collect
 // phases drained through the compiled egress read_and_reset_batch. The
-// add/collect wall-time split is reported per shard count, plus a per-slot
-// collect baseline row (read/reset round trips through the packet sim) to
-// track the batched egress speedup. A 2-lane single-shard row is kept for
-// continuity with the pre-batching numbers.
+// add/collect wall-time split is reported per shard count. A 2-lane
+// single-shard row is kept for continuity with the pre-batching numbers.
 // The bench drives everything through the unified collective API
 // (collective::ClusterCommunicator / TreeCommunicator): gradients enter as
 // zero-copy views and the result lands in a caller-owned buffer, exactly
@@ -55,9 +53,8 @@ struct RunResult {
 
 RunResult run_once(int shards, int lanes, std::size_t values,
                    const std::vector<std::vector<float>>& workers,
-                   double gbps, double latency_us,
-                   bool batched_collect = true, int kill_shard = -1,
-                   bool fault_guard = false, bool pipeline = true) {
+                   double gbps, double latency_us, int kill_shard = -1,
+                   bool fault_guard = false) {
   using namespace fpisa;
   using namespace fpisa::cluster;
   ClusterOptions opts;
@@ -65,8 +62,6 @@ RunResult run_once(int shards, int lanes, std::size_t values,
   opts.lanes = lanes;
   opts.slots_per_shard = 64;
   opts.slots_per_job = 64;
-  opts.batched_collect = batched_collect;
-  opts.pipeline_waves = pipeline;
   opts.failover.enabled = kill_shard >= 0;
   // Guarded datapath with every injection rate at zero: measures what the
   // epoch/checksum machinery itself costs, with no faults to recover.
@@ -213,54 +208,12 @@ int main() {
                 kDispatchReps, inline_us, workers_us, overhead_us);
   }
 
-  // Wave-pipeline A/B on the same fabric: encode wave N+1 while wave N's
-  // collect drains, vs the serial wave loop (ClusterOptions::pipeline_waves
-  // off). Same results either way — this row prices the overlap.
-  {
-    double on_ms = 1e300, off_ms = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      on_ms = std::min(on_ms, run_once(4, kLanes, kValues, workers, kGbps,
-                                       kLatencyUs, true, -1, false,
-                                       /*pipeline=*/true)
-                                  .wall_ms);
-      off_ms = std::min(off_ms, run_once(4, kLanes, kValues, workers, kGbps,
-                                         kLatencyUs, true, -1, false,
-                                         /*pipeline=*/false)
-                                    .wall_ms);
-    }
-    const double on_rate = static_cast<double>(kValues) / (on_ms * 1e-3);
-    const double off_rate = static_cast<double>(kValues) / (off_ms * 1e-3);
-    json.set("wall_values_per_s_shards_4_pipeline_on", on_rate);
-    json.set("wall_values_per_s_shards_4_pipeline_off", off_rate);
-    json.set("pipeline_speedup_shards_4", on_rate / off_rate);
-    std::printf("wave pipeline A/B (4 shards): off %.2f ms, on %.2f ms = "
-                "%.2fx\n",
-                off_ms, on_ms, on_rate / off_rate);
-  }
-
-  // Compiled batched egress vs the per-slot collect baseline (read/reset
-  // round trips through the packet sim) on one shard: the collect-phase
-  // wall time is the PR 3 acceptance metric (target >= 3x).
-  const RunResult per_slot =
-      run_once(1, kLanes, kValues, workers, kGbps, kLatencyUs,
-               /*batched_collect=*/false);
-  const RunResult batched_collect =
-      run_once(1, kLanes, kValues, workers, kGbps, kLatencyUs,
-               /*batched_collect=*/true);
-  const double collect_speedup =
-      per_slot.collect_phase_ms / batched_collect.collect_phase_ms;
-  json.set("collect_phase_ms_per_slot_baseline", per_slot.collect_phase_ms);
-  json.set("collect_phase_ms_batched", batched_collect.collect_phase_ms);
-  json.set("collect_speedup_vs_per_slot", collect_speedup);
-  json.set("sim_wall_ms_per_slot_collect", per_slot.wall_ms);
-  std::printf("\ncollect phase, 1 shard: per-slot %.2f ms -> batched "
-              "read_batch %.2f ms = %.1fx (acceptance target: >= 3x)\n",
-              per_slot.collect_phase_ms, batched_collect.collect_phase_ms,
-              collect_speedup);
-  if (collect_speedup < 3.0) {
-    std::printf("warning: collect-phase speedup below the 3x target on this "
-                "machine\n");
-  }
+  // Collect-phase wall time of the compiled batched egress on one shard.
+  const RunResult one_shard =
+      run_once(1, kLanes, kValues, workers, kGbps, kLatencyUs);
+  json.set("collect_phase_ms_batched", one_shard.collect_phase_ms);
+  std::printf("\ncollect phase, 1 shard: read_and_reset_batch %.2f ms\n",
+              one_shard.collect_phase_ms);
   const double speedup_4 = rate_at_4 / base_rate;
   json.set("speedup_1_to_4", speedup_4);
   std::printf("\naggregate throughput scaling 1 -> 4 shards: %.2fx "
@@ -273,7 +226,7 @@ int main() {
   // failing. This is the failover subsystem's throughput story.
   const RunResult degraded =
       run_once(4, kLanes, kValues, workers, kGbps, kLatencyUs,
-               /*batched_collect=*/true, /*kill_shard=*/3);
+               /*kill_shard=*/3);
   const double degraded_rate =
       static_cast<double>(kValues) / degraded.modeled_s;
   json.set("values_per_s_shards_4_degraded", degraded_rate);
@@ -331,7 +284,7 @@ int main() {
   for (int i = 0; i < 2 * kTelemetryReps; ++i) {
     const auto leg = [&](bool guard) {
       return run_once(4, kLanes, kValues, workers, kGbps, kLatencyUs,
-                      /*batched_collect=*/true, /*kill_shard=*/-1, guard)
+                      /*kill_shard=*/-1, guard)
           .wall_ms;
     };
     wall_fault_base_ms = std::min(wall_fault_base_ms, leg(false));

@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "switchml/wave_engine.h"
+
 namespace fpisa::cluster {
 
 enum class RoutingPolicy {
@@ -56,13 +58,9 @@ class ShardRouter {
   std::uint64_t salt_;
 };
 
-/// A half-open run of aggregation slots [lo, hi) on one shard.
-struct SlotRange {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  std::size_t size() const { return hi - lo; }
-  bool empty() const { return hi <= lo; }
-};
+/// A half-open run of aggregation slots [lo, hi) on one shard: the range a
+/// shard task's switchml::WaveEngine streams its waves through.
+using switchml::SlotRange;
 
 /// First-fit free-list allocator over one shard's aggregation slots.
 /// Concurrent tenants receive disjoint ranges; release() coalesces

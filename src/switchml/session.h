@@ -12,26 +12,24 @@
 //
 // Two datapaths, identical in every observable (results, stats, switch
 // register evolution — proven in tests/test_switchml_session.cpp):
-//  * batched (default): a whole wave of chunk packets is encoded into
-//    reused flat buffers and applied through FpisaSwitch::add_batch, and
-//    the wave's collect phase drains every slot through ONE
-//    read_and_reset_batch call (the compiled egress); loss is drawn up
-//    front in the exact per-packet order, so the loss schedule and
-//    statistics match the per-packet path bit-for-bit.
+//  * batched (default): one switchml::WaveEngine over [0, slots) — each
+//    wave's packets go through one FpisaSwitch::add_batch and its collect
+//    through one read_and_reset_batch, with the loss schedule drawn in the
+//    exact per-packet order.
 //  * per-packet: one simulator traversal per packet (the reference).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/accumulator.h"
 #include "fault/fault.h"
 #include "pisa/fpisa_program.h"
+#include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
+#include "util/ordered_mutex.h"
 #include "util/rng.h"
 
 namespace fpisa::switchml {
@@ -82,93 +80,18 @@ class RetransmitExhaustedError : public std::runtime_error {
   int worker_;
 };
 
-struct SessionStats {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_lost = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t duplicates_absorbed = 0;  ///< dedup hits at the switch
-  std::uint64_t slot_reuses = 0;
-  // Failover accounting (cluster fabric; zero on single-switch sessions).
-  std::uint64_t shard_failures = 0;   ///< shards declared dead serving this
-  std::uint64_t chunks_rerouted = 0;  ///< chunks re-homed onto survivors
-  std::uint64_t failover_retries = 0; ///< clean retry passes run
-  /// Byzantine-fault injection/recovery books (zero with faults disabled).
-  fault::FaultCounters faults{};
-  /// Bitmask of workers declared dead while serving this. A monotone mask,
-  /// not a count: several shards may each declare the same worker dead, and
-  /// kMean-over-survivors needs the distinct-worker population.
-  std::uint32_t dead_workers = 0;
-  /// Per-MAU kernel operation counts (§5.2.1 taxonomy), carried through
-  /// every merge so table-level accounting survives aggregation end to
-  /// end. Populated where a layer exclusively owns its switch (sessions,
-  /// cluster per-shard books); zero where attribution is ambiguous
-  /// (concurrent jobs sharing switches).
-  core::OpCounters ops{};
-
-  /// Centralized merge (cluster/shard/tenant accounting all use this).
-  SessionStats& operator+=(const SessionStats& o) {
-    packets_sent += o.packets_sent;
-    packets_lost += o.packets_lost;
-    retransmissions += o.retransmissions;
-    duplicates_absorbed += o.duplicates_absorbed;
-    slot_reuses += o.slot_reuses;
-    shard_failures += o.shard_failures;
-    chunks_rerouted += o.chunks_rerouted;
-    failover_retries += o.failover_retries;
-    faults += o.faults;
-    dead_workers |= o.dead_workers;
-    ops += o.ops;
-    return *this;
-  }
-  /// Delta against an earlier snapshot of the same cumulative stats (used
-  /// to attribute one reduce out of a long-lived session's running total).
-  SessionStats& operator-=(const SessionStats& o) {
-    packets_sent -= o.packets_sent;
-    packets_lost -= o.packets_lost;
-    retransmissions -= o.retransmissions;
-    duplicates_absorbed -= o.duplicates_absorbed;
-    slot_reuses -= o.slot_reuses;
-    shard_failures -= o.shard_failures;
-    chunks_rerouted -= o.chunks_rerouted;
-    failover_retries -= o.failover_retries;
-    faults -= o.faults;
-    // Delta semantics for a monotone mask: keep only the workers that died
-    // after the `o` snapshot was taken.
-    dead_workers &= ~o.dead_workers;
-    ops -= o.ops;
-    return *this;
-  }
-};
-
-/// Outcome of drawing a wave's collect (read + reset) loss schedule in the
-/// per-packet protocol order, without touching the switch.
-struct CollectSchedule {
-  std::uint64_t delivered = 0;  ///< switch traversals the schedule implies
-  std::size_t cleared = 0;      ///< prefix of slots whose reset was delivered
-  int failure = 0;              ///< 0: none, 1: read failed, 2: reset failed
-};
-
-/// Draws the per-slot read/reset retry schedule for `n` slots exactly as
-/// the per-slot collect loop would — same rng draw order, same
-/// packets_sent / packets_lost / slot_reuses counting. Reads are
-/// idempotent and re-clearing an already-reset slot is a no-op, so ONE
-/// physical read-and-reset per fully-collected slot (the `cleared`
-/// prefix) plus `delivered` accounted traversals reproduces the per-slot
-/// protocol's register evolution and packet accounting exactly. Shared by
-/// AggregationSession and cluster::AggregationService so the two batched
-/// collect paths cannot drift apart.
-CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
-                                      int max_retransmits, util::Rng& rng,
-                                      SessionStats& stats);
-
 /// Aggregates `workers` equal-length FP32 vectors through a switch,
 /// packet by packet, tolerating packet loss. Returns the aggregated sum.
 class AggregationSession {
  public:
+  /// Throws std::invalid_argument when num_workers is outside [1, 32] (the
+  /// worker bitmap is 32 bits wide), slots is 0, or fault injection is
+  /// asked of the per-packet datapath.
   AggregationSession(pisa::SwitchConfig config, SessionOptions opts);
 
   /// Zero-copy reduce over worker views (span-of-spans into caller-owned
-  /// storage): the sum lands in `out` (out.size() == view length).
+  /// storage): the sum lands in `out`. Throws std::invalid_argument unless
+  /// there are num_workers views of one length and out has that length.
   void reduce_into(std::span<const std::span<const float>> workers,
                    std::span<float> out);
   /// Legacy allocating form — materializes views (never the gradients) and
@@ -192,47 +115,19 @@ class AggregationSession {
   }
 
  private:
+  /// One attempt at the whole job on the batched datapath, skipping the
+  /// workers in `dead_mask`. Throws RetransmitExhaustedError, or
+  /// fault::WorkerDeadError when a worker misses a wave deadline.
+  void run_waves(WaveEngine& engine, std::span<float> result,
+                 std::uint32_t dead_mask);
+  /// The per-packet reference protocol: one simulator traversal per packet.
+  void reduce_per_packet(std::span<const std::span<const float>> workers,
+                         std::span<float> result);
   /// Sends one worker's packet for a chunk; applies loss on both
   /// directions; returns the switch's response if it survived.
   bool send_add(std::uint16_t slot, std::uint8_t worker,
                 std::span<const std::uint32_t> values,
                 pisa::FpisaResult* out);
-  /// Batched flavor: draws the identical loss schedule but queues every
-  /// delivered copy into the pending batch instead of touching the switch.
-  bool queue_add(std::uint16_t slot, std::uint8_t worker,
-                 std::span<const std::uint32_t> values);
-  void flush_pending();
-  /// Batched collect: draws the per-slot read/reset loss schedules in the
-  /// per-packet order, then drains the wave's slots [0, wave size) through
-  /// one read_and_reset_batch call and scatters the values into `result`.
-  /// Throws exactly where (and with the state) the per-slot loop would.
-  void collect_wave(std::size_t base, std::size_t wave_end, std::size_t n,
-                    std::span<float> result);
-
-  // --- Byzantine-fault guarded protocol (opts_.fault.enabled only) -------
-  /// One attempt at the whole job with the given survivor set; throws
-  /// WorkerDeadError when a worker misses a wave deadline.
-  void run_guarded(std::span<const std::span<const float>> workers,
-                   std::span<float> result, fault::FaultEngine& engine,
-                   std::uint32_t dead_mask);
-  /// queue_add through the fault engine: delivered copies are handed to
-  /// deliver(), which may corrupt / duplicate / hold them back as ghosts.
-  bool queue_add_guarded(std::uint16_t slot, std::uint8_t worker,
-                         std::span<const std::uint32_t> values,
-                         fault::FaultEngine& engine);
-  /// Drains the engine's pending batch through add_batch_guarded and folds
-  /// the guard's rejection counts into stats_.faults.
-  void flush_pending_guarded(fault::FaultEngine& engine);
-  /// Post-add wave recovery: detect switch state loss (generation bump) and
-  /// replay the wave from the host-held gradients; then enforce the wave
-  /// deadline — a worker whose bit is clear in every wave slot is dead.
-  void recover_wave(std::span<const std::span<const float>> workers,
-                    std::size_t base, std::size_t wave_end, std::size_t n,
-                    std::size_t wave_index, std::uint32_t dead_mask,
-                    fault::FaultEngine& engine);
-  /// Re-reads every slot's epoch/generation stamp from the switch's
-  /// control plane into the host mirror.
-  void resync_stamps();
 
   void init_metrics();
   /// Accumulates one wave's timings and pushes stats deltas to the registry.
@@ -240,6 +135,9 @@ class AggregationSession {
 
   SessionOptions opts_;
   pisa::FpisaSwitch switch_;
+  /// Taken by the wave engine around every switch access; the session owns
+  /// its switch, so it is never contended.
+  util::OrderedMutex switch_mu_{util::lock_rank::kSessionSwitch};
   util::Rng loss_rng_;
   mutable SessionStats stats_{};  ///< mutable: stats() refreshes .ops
 
@@ -251,20 +149,11 @@ class AggregationSession {
   telemetry::Counter* m_lost_ = nullptr;
   telemetry::Histogram* m_phase_[2] = {};  ///< [0]=add, [1]=collect
 
-  // Reused across waves: zero steady-state allocation on the hot path.
-  std::vector<std::uint16_t> pending_slots_;
-  std::vector<std::uint8_t> pending_workers_;
-  std::vector<std::uint32_t> pending_values_;
+  /// The identity chunk list 0, 1, 2, ... the engine walks; grown on demand.
+  std::vector<std::size_t> chunk_ids_;
+  // Per-packet path scratch.
   std::vector<std::uint32_t> lane_buf_;
-  std::vector<std::uint32_t> wave_values_;  ///< batched collect results
   pisa::FpisaResult result_buf_;
-
-  // Guarded-protocol state (touched only when opts_.fault.enabled).
-  std::vector<std::uint32_t> stamps_;       ///< host mirror of slot stamps
-  std::uint16_t mirror_generation_ = 0;
-  std::vector<std::uint32_t> bitmap_scratch_;   ///< wave-deadline probe
-  std::vector<std::uint32_t> replay_stamps_;    ///< wave-replay batch
-  std::vector<std::uint16_t> replay_checksums_;
 };
 
 }  // namespace fpisa::switchml

@@ -1,8 +1,7 @@
-// The pipelined multi-core execution engine must be an invisible
-// optimization: per-shard mailbox workers + the two-stage wave pipeline
-// (encode wave N+1 while wave N's collect drains) produce bit-identical
-// results, SessionStats, and switch state to the serial single-thread
-// reference — across loss rates up to 0.99, Byzantine fault mixes,
+// The multi-core execution engine must be an invisible optimization:
+// per-shard mailbox workers (kWorkers) produce bit-identical results,
+// SessionStats, and switch state to inline dispatch on the calling thread
+// (kInline) — across loss rates up to 0.99, Byzantine fault mixes,
 // mid-wave shard kills, and a 64-job concurrent burst. Also pins the
 // fan-out economics: a pass wakes only the shards it feeds (idle shards'
 // mailbox counters never move, spurious wakeups stay zero) and the SPSC
@@ -67,14 +66,13 @@ void expect_stats_eq(const switchml::SessionStats& got,
   EXPECT_EQ(got.faults.waves_replayed, want.faults.waves_replayed) << what;
 }
 
-/// Reference configuration: serial wave loop on the calling thread.
+/// Reference configuration: every shard task on the calling thread.
 ClusterOptions serial_reference(ClusterOptions opts) {
   opts.dispatch = ClusterOptions::DispatchMode::kInline;
-  opts.pipeline_waves = false;
   return opts;
 }
 
-/// Runs one job under `opts` and under the serial reference, asserting
+/// Runs one job under `opts` and under the inline reference, asserting
 /// job-level AND cumulative observables are bit-identical.
 void expect_matches_serial(const ClusterOptions& opts,
                            const std::vector<std::vector<float>>& workers,
@@ -90,7 +88,7 @@ void expect_matches_serial(const ClusterOptions& opts,
     expect_stats_eq(got.per_shard[s], want.per_shard[s], what);
   }
   // Switch-state / cumulative books: per-shard cumulative traffic and the
-  // service totals must agree too (the pipeline may not shift accounting
+  // service totals must agree too (dispatch may not shift accounting
   // between shards).
   for (int s = 0; s < opts.num_shards; ++s) {
     expect_stats_eq(svc.shard_stats(s), ref.shard_stats(s), what);
@@ -115,24 +113,9 @@ TEST(ClusterPipeline, LossSweepBitIdenticalToSerial) {
     // per-packet exhaustion probability negligible.
     opts.max_retransmits = loss > 0.95 ? 500000 : 4096;
     opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-    opts.pipeline_waves = true;
     SCOPED_TRACE(loss);
     expect_matches_serial(opts, workers, "loss sweep");
   }
-}
-
-TEST(ClusterPipeline, PipelineOffWorkersStillMatchesSerial) {
-  // Isolate the dispatch rebuild from the wave pipeline: mailbox workers
-  // with the serial wave loop must also be exact.
-  const auto workers = make_workers(3, 200, 31);
-  ClusterOptions opts;
-  opts.num_shards = 4;
-  opts.loss_rate = 0.25;
-  opts.loss_seed = 5;
-  opts.max_retransmits = 256;
-  opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = false;
-  expect_matches_serial(opts, workers, "workers, pipeline off");
 }
 
 TEST(ClusterPipeline, AutoDispatchMatchesSerial) {
@@ -148,10 +131,8 @@ TEST(ClusterPipeline, AutoDispatchMatchesSerial) {
 // --- fault mixes ------------------------------------------------------------
 
 TEST(ClusterPipeline, ByzantineFaultMixBitIdenticalToSerial) {
-  // The guarded protocol keeps the serial wave loop (wave N+1's stamps
-  // depend on wave N's collect), but the engine rebuild underneath it —
-  // mailbox dispatch, shard-local stats, join protocol — must not move a
-  // single counter.
+  // The guarded protocol under mailbox dispatch — shard-local stats, join
+  // protocol — must not move a single counter.
   const auto workers = make_workers(4, 240, 51);
   ClusterOptions opts;
   opts.num_shards = 4;
@@ -161,7 +142,6 @@ TEST(ClusterPipeline, ByzantineFaultMixBitIdenticalToSerial) {
   opts.loss_rate = 0.1;
   opts.max_retransmits = 512;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = true;
   opts.fault.enabled = true;
   opts.fault.seed = 9;
   opts.fault.corrupt_rate = 0.05;
@@ -187,8 +167,7 @@ TEST(ClusterPipeline, MidWaveKillFailoverBitIdenticalToSerialAndHealthy) {
       opts.loss_rate = 0.15;
       opts.max_retransmits = 256;
       opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-      opts.pipeline_waves = true;
-      opts.failover.enabled = true;
+          opts.failover.enabled = true;
       opts.failover.faults = {
           ShardFault{1, FaultKind::kKill, phase, wave, 0.0}};
       SCOPED_TRACE(static_cast<int>(phase));
@@ -210,15 +189,14 @@ TEST(ClusterPipeline, MidWaveKillFailoverBitIdenticalToSerialAndHealthy) {
 }
 
 TEST(ClusterPipeline, MidWaveKillWithoutFailoverFailsIdentically) {
-  // No failover: both engines must throw, and the partial traffic that did
-  // cross the wire must be identically accounted.
+  // No failover: both dispatch modes must throw, and the partial traffic
+  // that did cross the wire must be identically accounted.
   const auto workers = make_workers(2, 96, 71);
   ClusterOptions opts;
   opts.num_shards = 2;
   opts.slots_per_shard = 8;
   opts.slots_per_job = 4;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = true;
   opts.failover.enabled = false;
   opts.failover.faults = {
       ShardFault{0, FaultKind::kKill, FaultPhase::kMidCollect, 1, 0.0}};
@@ -244,7 +222,6 @@ TEST(ClusterPipeline, SixtyFourJobBurstBitIdentical) {
   opts.max_retransmits = 256;
   opts.job_runner_threads = 4;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = true;
   AggregationService svc(opts);
   AggregationService ref(serial_reference(opts));
 

@@ -226,44 +226,6 @@ TEST(ClusterService, LossInjectionIsBitExactVsLossless) {
   EXPECT_GT(report.stats.retransmissions, 0u);
 }
 
-TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
-  // The compiled-egress collect (one read_and_reset_batch per wave) must be
-  // observably indistinguishable from the per-slot read/reset round trips
-  // through the packet sim: identical results and protocol stats, with and
-  // without loss (the batched path pre-draws the same loss schedule).
-  const auto workers = make_workers(4, 150, 190);
-  for (const double loss : {0.0, 0.2}) {
-    ClusterOptions opts;
-    opts.num_shards = 3;
-    opts.slots_per_shard = 16;
-    opts.slots_per_job = 8;
-    opts.lanes = 2;
-    opts.loss_rate = loss;
-    opts.loss_seed = 191;
-    opts.max_retransmits = 256;
-
-    ClusterOptions per_slot = opts;
-    per_slot.batched_collect = false;
-    AggregationService fast(opts);
-    AggregationService slow(per_slot);
-
-    const auto got = fast.reduce({"t", workers});
-    const auto want = slow.reduce({"t", workers});
-    ASSERT_EQ(got.result.size(), want.result.size());
-    for (std::size_t i = 0; i < want.result.size(); ++i) {
-      EXPECT_EQ(core::fp32_bits(got.result[i]),
-                core::fp32_bits(want.result[i]))
-          << "loss=" << loss << " i=" << i;
-    }
-    EXPECT_EQ(got.stats.packets_sent, want.stats.packets_sent) << loss;
-    EXPECT_EQ(got.stats.packets_lost, want.stats.packets_lost) << loss;
-    EXPECT_EQ(got.stats.retransmissions, want.stats.retransmissions) << loss;
-    EXPECT_EQ(got.stats.duplicates_absorbed, want.stats.duplicates_absorbed)
-        << loss;
-    EXPECT_EQ(got.stats.slot_reuses, want.stats.slot_reuses) << loss;
-  }
-}
-
 TEST(ClusterService, RetransmitExhaustionFailsLoudly) {
   ClusterOptions opts;
   opts.num_shards = 2;
@@ -307,7 +269,6 @@ TEST(ClusterService, ConcurrentTenantsAreIsolated) {
   opts.num_shards = 2;
   opts.slots_per_shard = 8;
   opts.slots_per_job = 4;
-  opts.worker_threads = 3;
   AggregationService service(opts);
 
   const auto wa = make_workers(3, 60, 97);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "switchml/session.h"
 #include "util/rng.h"
@@ -205,6 +208,57 @@ TEST(Session, BatchedAndPerPacketSubmissionAreIdentical) {
       }
     }
   }
+}
+
+// Input checks hold in Release too: a bad call throws instead of reading
+// past a view.
+TEST(SessionInputs, NumWorkersOutsideTheBitmapThrows) {
+  for (const int workers : {0, 33}) {
+    SessionOptions opts;
+    opts.num_workers = workers;
+    EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+                 std::invalid_argument)
+        << workers;
+  }
+}
+
+TEST(SessionInputs, ZeroSlotsThrows) {
+  SessionOptions opts;
+  opts.slots = 0;
+  EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+               std::invalid_argument);
+}
+
+TEST(SessionInputs, ViewCountOtherThanNumWorkersThrows) {
+  SessionOptions opts;
+  opts.num_workers = 4;
+  AggregationSession session(pisa::SwitchConfig{}, opts);
+  const auto workers = make_workers(2, 16, 80);
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  std::vector<float> out(16);
+  EXPECT_THROW(session.reduce_into(views, out), std::invalid_argument);
+  EXPECT_THROW(session.reduce(workers), std::invalid_argument);
+}
+
+TEST(SessionInputs, UnequalLengthsThrow) {
+  SessionOptions opts;
+  opts.num_workers = 2;
+  AggregationSession session(pisa::SwitchConfig{}, opts);
+  auto workers = make_workers(2, 16, 81);
+  workers[1].resize(12);
+  EXPECT_THROW(session.reduce(workers), std::invalid_argument);
+}
+
+TEST(SessionInputs, OutSizeMismatchThrows) {
+  SessionOptions opts;
+  opts.num_workers = 2;
+  AggregationSession session(pisa::SwitchConfig{}, opts);
+  const auto workers = make_workers(2, 16, 82);
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  std::vector<float> out(15);
+  EXPECT_THROW(session.reduce_into(views, out), std::invalid_argument);
 }
 
 TEST(SessionStatsMerge, OperatorPlusEqualsSumsEveryField) {

@@ -16,7 +16,6 @@
 // (collective::ClusterCommunicator / TreeCommunicator): gradients enter as
 // zero-copy views and the result lands in a caller-owned buffer, exactly
 // as a framework integration would run it.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -53,8 +52,7 @@ struct RunResult {
 
 RunResult run_once(int shards, int lanes, std::size_t values,
                    const std::vector<std::vector<float>>& workers,
-                   double gbps, double latency_us, int kill_shard = -1,
-                   bool fault_guard = false) {
+                   double gbps, double latency_us, int kill_shard = -1) {
   using namespace fpisa;
   using namespace fpisa::cluster;
   ClusterOptions opts;
@@ -63,10 +61,6 @@ RunResult run_once(int shards, int lanes, std::size_t values,
   opts.slots_per_shard = 64;
   opts.slots_per_job = 64;
   opts.failover.enabled = kill_shard >= 0;
-  // Guarded datapath with every injection rate at zero: measures what the
-  // epoch/checksum machinery itself costs, with no faults to recover.
-  opts.fault.enabled = fault_guard;
-  opts.fault.seed = 9;
   collective::ClusterCommunicator comm(opts);
   if (kill_shard >= 0) comm.service().kill_shard(kill_shard);
 
@@ -167,10 +161,11 @@ int main() {
       static_cast<double>(std::thread::hardware_concurrency());
   json.set("host_cpus", host_cpus);
 
-  // Dispatch overhead: a minimal job (one chunk per shard) over many reps,
-  // mailbox workers vs inline on the same fabric. The delta prices one
+  // Dispatch cost: a minimal job (one chunk per shard) over many reps,
+  // mailbox workers vs inline on the same fabric. The gap prices one
   // fan-out/join round trip — the tickets, wakeups, and the epoch join —
-  // with almost no shard work to hide behind.
+  // with almost no shard work to hide behind (perfbench's
+  // cluster.dispatch_us_per_pass measures it inside a live workload).
   {
     constexpr int kDispatchReps = 200;
     const auto tiny = make_workers(
@@ -198,14 +193,11 @@ int main() {
         time_mode(cluster::ClusterOptions::DispatchMode::kInline);
     const double workers_us =
         time_mode(cluster::ClusterOptions::DispatchMode::kWorkers);
-    const double overhead_us = workers_us - inline_us;
     json.set("dispatch_pass_us_inline", inline_us);
     json.set("dispatch_pass_us_workers", workers_us);
-    json.set("dispatch_overhead_us_per_pass", overhead_us);
-    std::printf("\ndispatch overhead (4 shards, 1-chunk waves, %d reps): "
-                "inline %.1f us/pass, mailbox workers %.1f us/pass = "
-                "%+.1f us fan-out/join cost\n",
-                kDispatchReps, inline_us, workers_us, overhead_us);
+    std::printf("\ndispatch (4 shards, 1-chunk waves, %d reps): inline "
+                "%.1f us/pass, mailbox workers %.1f us/pass\n",
+                kDispatchReps, inline_us, workers_us);
   }
 
   // Collect-phase wall time of the compiled batched egress on one shard.
@@ -235,82 +227,6 @@ int main() {
   std::printf("degraded mode (4 shards, 1 dead): %.1fM values/s modeled = "
               "%.0f%% of the healthy 4-shard fabric (expect ~N-1/N)\n",
               degraded_rate / 1e6, 100.0 * degraded_rate / rate_at_4);
-
-  // Telemetry overhead: the same 4-shard job with the registry kill switch
-  // off vs on (every inc/observe collapses to a relaxed load + branch when
-  // off). Acceptance: the instrumented run within 2% of the dark one —
-  // wall times are noisy at ms scale, so take the best of a few reps and
-  // warn rather than fail, like the other wall-clock targets.
-  constexpr int kTelemetryReps = 5;
-  const auto best_wall_ms = [&] {
-    double best = 1e300;
-    for (int i = 0; i < kTelemetryReps; ++i) {
-      const RunResult r =
-          run_once(4, kLanes, kValues, workers, kGbps, kLatencyUs);
-      best = std::min(best, r.wall_ms);
-    }
-    return best;
-  };
-  telemetry::set_enabled(false);
-  const double wall_off_ms = best_wall_ms();
-  telemetry::set_enabled(true);
-  const double wall_on_ms = best_wall_ms();
-  const double rate_off = static_cast<double>(kValues) / (wall_off_ms * 1e-3);
-  const double rate_on = static_cast<double>(kValues) / (wall_on_ms * 1e-3);
-  const double overhead_pct = 100.0 * (wall_on_ms - wall_off_ms) / wall_off_ms;
-  json.set("wall_values_per_s_shards_4_telemetry_off", rate_off);
-  json.set("wall_values_per_s_shards_4_telemetry_on", rate_on);
-  json.set("telemetry_overhead_pct", overhead_pct);
-  std::printf("telemetry overhead, 4 shards (best of %d): off %.2f ms, on "
-              "%.2f ms = %+.2f%% (acceptance target: <= 2%%)\n",
-              kTelemetryReps, wall_off_ms, wall_on_ms, overhead_pct);
-  if (overhead_pct > 2.0) {
-    std::printf("warning: telemetry overhead above the 2%% target on this "
-                "machine\n");
-  }
-
-  // Fault-injection overhead, two rows. With fault.enabled=false the
-  // session/cluster datapath is the byte-for-byte legacy one (a single
-  // branch guards the whole subsystem), so the "off" row vs the
-  // instrumented baseline above must sit inside run-to-run noise —
-  // acceptance: <= 2%. The "guard on, zero rates" row prices the guarded
-  // datapath itself (per-packet epoch stamps + checksums + engine
-  // pass-through) for anyone who wants detection always-armed.
-  // The legs are interleaved (baseline, off, guard, baseline, ...) so
-  // thermal/frequency drift across the process lands on all three
-  // equally instead of inflating whichever leg runs last.
-  double wall_fault_base_ms = 1e300, wall_fault_off_ms = 1e300,
-         wall_guard_on_ms = 1e300;
-  for (int i = 0; i < 2 * kTelemetryReps; ++i) {
-    const auto leg = [&](bool guard) {
-      return run_once(4, kLanes, kValues, workers, kGbps, kLatencyUs,
-                      /*kill_shard=*/-1, guard)
-          .wall_ms;
-    };
-    wall_fault_base_ms = std::min(wall_fault_base_ms, leg(false));
-    wall_fault_off_ms = std::min(wall_fault_off_ms, leg(false));
-    wall_guard_on_ms = std::min(wall_guard_on_ms, leg(true));
-  }
-  const double fault_off_pct =
-      100.0 * (wall_fault_off_ms - wall_fault_base_ms) / wall_fault_base_ms;
-  const double fault_guard_pct =
-      100.0 * (wall_guard_on_ms - wall_fault_off_ms) / wall_fault_off_ms;
-  json.set("wall_values_per_s_shards_4_fault_off",
-           static_cast<double>(kValues) / (wall_fault_off_ms * 1e-3));
-  json.set("wall_values_per_s_shards_4_fault_guard_on",
-           static_cast<double>(kValues) / (wall_guard_on_ms * 1e-3));
-  json.set("fault_off_overhead_pct", fault_off_pct);
-  json.set("fault_guard_overhead_pct", fault_guard_pct);
-  std::printf("fault injection off, 4 shards (best of %d): %.2f ms = "
-              "%+.2f%% vs baseline (acceptance target: <= 2%%)\n",
-              2 * kTelemetryReps, wall_fault_off_ms, fault_off_pct);
-  if (fault_off_pct > 2.0) {
-    std::printf("warning: fault-off overhead above the 2%% target on this "
-                "machine\n");
-  }
-  std::printf("guarded datapath, zero fault rates: %.2f ms = %+.2f%% over "
-              "fault-off (stamps + checksums, no recovery work)\n",
-              wall_guard_on_ms, fault_guard_pct);
 
   // Continuity row: the pre-batching 2-lane geometry on one shard.
   const RunResult legacy =

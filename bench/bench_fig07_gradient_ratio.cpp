@@ -3,6 +3,7 @@
 // VGG/CIFAR-10, DeepLight/Criteo, LSTM/GBW — see DESIGN.md).
 #include <cstdio>
 
+#include "collective/communicator.h"
 #include "ml/data.h"
 #include "ml/nn.h"
 #include "ml/trainer.h"
@@ -34,7 +35,8 @@ int main() {
     switchml::ExactAggregator agg;
     ml::TrainerOptions opts;
     opts.batch_per_worker = 32;
-    ml::DataParallelTrainer trainer(cfg.net, cfg.data, agg, opts);
+    collective::HostCommunicator comm(agg);
+    ml::DataParallelTrainer trainer(cfg.net, cfg.data, comm, opts);
 
     util::Log2Histogram hist(0, 20);
     trainer.train_epoch([&](const std::vector<std::vector<float>>& grads) {

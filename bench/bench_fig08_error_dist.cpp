@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "collective/communicator.h"
 #include "core/vector_accumulator.h"
 #include "ml/data.h"
 #include "ml/nn.h"
@@ -22,7 +23,8 @@ int main() {
   switchml::ExactAggregator exact;
   ml::TrainerOptions opts;
   opts.batch_per_worker = 8;
-  ml::DataParallelTrainer trainer(net, ds, exact, opts);
+  collective::HostCommunicator comm(exact);
+  ml::DataParallelTrainer trainer(net, ds, comm, opts);
 
   const int kEpochs[] = {1, 20, 40};
   int next = 0;

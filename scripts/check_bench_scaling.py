@@ -8,7 +8,7 @@ Stdlib only (runs in CI right after the Release bench). Two layers:
 
   presence — the execution-engine keys the bench must emit:
   wall_values_per_s_shards_{1,2,4,8}, wall_scaling_efficiency_shards_{2,4,8},
-  the dispatch overhead rows, and host_cpus.
+  dispatch_pass_us_{inline,workers}, and host_cpus.
 
   scaling — wall_values_per_s_shards_8 / wall_values_per_s_shards_1 > 2.0.
   Wall-clock scaling needs cores to scale ON, so this assertion only arms
@@ -28,7 +28,6 @@ REQUIRED_KEYS = [
     "wall_scaling_efficiency_shards_2",
     "wall_scaling_efficiency_shards_4",
     "wall_scaling_efficiency_shards_8",
-    "dispatch_overhead_us_per_pass",
     "dispatch_pass_us_inline",
     "dispatch_pass_us_workers",
     "host_cpus",
@@ -67,8 +66,7 @@ def main():
           f"wall_8/wall_1={ratio:.2f} "
           f"eff_2={metrics['wall_scaling_efficiency_shards_2']:.2f} "
           f"eff_4={metrics['wall_scaling_efficiency_shards_4']:.2f} "
-          f"eff_8={metrics['wall_scaling_efficiency_shards_8']:.2f} "
-          f"dispatch_overhead={metrics['dispatch_overhead_us_per_pass']:.1f}us")
+          f"eff_8={metrics['wall_scaling_efficiency_shards_8']:.2f}")
 
     if host_cpus < MIN_CORES_FOR_SCALING:
         print(f"SKIP scaling assertion: bench host has {host_cpus:.0f} "

@@ -38,6 +38,18 @@ std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
   return util::splitmix64(state);
 }
 
+/// Re-homes dead shard `dead`'s `chunks` onto the survivors in `alive`,
+/// appending each survivor's share to its list in `into` (callers sort once
+/// after the last corpse).
+void rehome(const ShardRouter& router, std::span<const std::size_t> chunks,
+            int dead, std::span<const int> alive,
+            std::vector<std::vector<std::size_t>>& into) {
+  const auto re = router.reroute(chunks, dead, alive);
+  for (std::size_t t = 0; t < re.size(); ++t) {
+    into[t].insert(into[t].end(), re[t].begin(), re[t].end());
+  }
+}
+
 }  // namespace
 
 AggregationService::Shard::Shard(const ClusterOptions& opts)
@@ -203,19 +215,40 @@ AggregationService::~AggregationService() {
   }
 }
 
+/// One job's control state from plan to finish (see run_job). Lives on
+/// run_job's stack; a pass's shard tasks read it through their PassContext
+/// and never write it.
+struct AggregationService::JobRun {
+  const JobView& job;
+  std::span<float> out;
+  JobReport& report;
+  telemetry::Trace* trace = nullptr;
+  telemetry::Trace::SpanId job_span = telemetry::Trace::kNone;
+  JobParams params;
+  std::size_t chunks = 0;
+  std::chrono::steady_clock::time_point t0;
+  std::vector<SlotRange> ranges;  ///< held slot range, one per shard
+  std::vector<std::vector<std::size_t>> parts{};  ///< next pass, per shard
+  /// Job-level failover accounting: lives on the job total (and tenant
+  /// stats), not on any one shard — a re-route is a fabric event.
+  switchml::SessionStats failover{};
+  /// Worker-death recovery state: the mask of workers declared dead so far
+  /// (threaded into every pass so shard tasks skip them), and a distinct
+  /// pass counter so every replay draws a fresh, deterministic fault/loss
+  /// stream (for failover-only jobs it equals `reroutes`, preserving the
+  /// pre-fault seed sequence exactly).
+  std::uint32_t dead_mask = 0;
+  std::uint64_t pass_no = 0;
+  int reroutes = 0;
+  int worker_replays = 0;
+};
+
 /// One in-flight fan-out/join (see header). Lives on run_pass's stack;
 /// shard workers reach it through their mailbox ticket and write only
 /// their own cache-line-aligned slot.
 struct AggregationService::PassContext {
-  const std::vector<std::vector<std::size_t>>* parts = nullptr;
-  const std::vector<SlotRange>* ranges = nullptr;
-  std::span<const std::span<const float>> workers;
-  std::span<float> out;
-  JobParams params;
-  std::uint64_t job_id = 0;
+  const JobRun* run = nullptr;
   std::uint64_t pass = 0;
-  std::uint32_t dead_mask = 0;
-  telemetry::Trace* trace = nullptr;
   telemetry::Trace::SpanId pass_span = telemetry::Trace::kNone;
   /// Per-shard result slot, one cache line (or whole lines) each: stats
   /// and error are written by exactly one worker and read only after the
@@ -303,8 +336,9 @@ void AggregationService::reject_job(util::UniqueLock& lk,
   throw qos::AdmissionRejectedError(std::string(tenant), reason);
 }
 
-qos::Priority AggregationService::admit_queued(
-    util::UniqueLock& lk, std::string_view tenant) {
+qos::Priority AggregationService::admit(util::UniqueLock& lk,
+                                        std::string_view tenant,
+                                        bool queued) {
   if (!qos_enabled_) return qos::Priority::kQuery;  // single FIFO class
   qos::AdmissionControl::TenantState& st = admission_.tenant(tenant);
   const qos::TenantQosConfig cfg = st.cfg;
@@ -312,7 +346,9 @@ qos::Priority AggregationService::admit_queued(
       admission_.now_ns() +
       static_cast<std::uint64_t>(std::max(cfg.block_deadline_s, 0.0) * 1e9);
   for (;;) {
-    const auto probe = admission_.try_admit_queued(st, admission_.now_ns());
+    const std::uint64_t now = admission_.now_ns();
+    const auto probe = queued ? admission_.try_admit_queued(st, now)
+                              : admission_.try_admit_direct(st, now);
     if (probe.admitted) {
       m_qos_admitted_[static_cast<std::size_t>(cfg.priority)]->inc();
       return cfg.priority;
@@ -324,7 +360,6 @@ qos::Priority AggregationService::admit_queued(
     // no longer than the tenant's deadline. The wait is capped so clock
     // movement — virtual in tests, real in production — is re-checked
     // promptly even without a notify.
-    const std::uint64_t now = admission_.now_ns();
     if (now >= deadline) reject_job(lk, tenant, qos::RejectReason::kDeadline);
     std::uint64_t wait_ns = deadline - now;
     if (probe.reason == qos::RejectReason::kRateLimited &&
@@ -339,34 +374,6 @@ qos::Priority AggregationService::admit_queued(
   }
 }
 
-void AggregationService::admit_direct(std::string_view tenant) {
-  if (!qos_enabled_) return;
-  util::UniqueLock lk(job_mu_);
-  qos::AdmissionControl::TenantState& st = admission_.tenant(tenant);
-  const qos::TenantQosConfig cfg = st.cfg;
-  const std::uint64_t deadline =
-      admission_.now_ns() +
-      static_cast<std::uint64_t>(std::max(cfg.block_deadline_s, 0.0) * 1e9);
-  for (;;) {
-    const auto probe = admission_.try_admit_direct(st, admission_.now_ns());
-    if (probe.admitted) {
-      m_qos_admitted_[static_cast<std::size_t>(cfg.priority)]->inc();
-      return;
-    }
-    if (cfg.policy == qos::AdmissionPolicy::kReject) {
-      reject_job(lk, tenant, probe.reason);
-    }
-    const std::uint64_t now = admission_.now_ns();
-    if (now >= deadline) reject_job(lk, tenant, qos::RejectReason::kDeadline);
-    std::uint64_t wait_ns = deadline - now;
-    if (probe.retry_after_ns > 0 && probe.retry_after_ns < wait_ns) {
-      wait_ns = probe.retry_after_ns;
-    }
-    wait_ns = std::clamp<std::uint64_t>(wait_ns, 100'000, 5'000'000);
-    admission_cv_.wait_for(lk, std::chrono::nanoseconds(wait_ns));
-  }
-}
-
 std::future<JobReport> AggregationService::enqueue_job(
     std::string_view tenant, std::function<JobReport()> fn) {
   std::packaged_task<JobReport()> task(std::move(fn));
@@ -377,7 +384,7 @@ std::future<JobReport> AggregationService::enqueue_job(
     // the same lock as the scheduler push; a rejection throws out of
     // submit() itself — the caller gets typed backpressure, not a future
     // that fails later.
-    const qos::Priority cls = admit_queued(lk, tenant);
+    const qos::Priority cls = admit(lk, tenant, /*queued=*/true);
     job_sched_.push(cls, QueuedJob{std::move(task), std::string(tenant)});
     refresh_queue_gauges();
   }
@@ -536,29 +543,27 @@ void AggregationService::run_shard_chunks(
   }
 }
 
-JobReport AggregationService::reduce_admitted(const JobRequest& job) {
+JobReport AggregationService::reduce(const JobRequest& job) {
   // Views over the request's vectors — the floats are read in place.
   const std::vector<std::span<const float>> views(job.workers.begin(),
                                                   job.workers.end());
-  JobReport report;
-  report.result.assign(job.workers.empty() ? 0 : job.workers.front().size(),
-                       0.0f);
-  run_job(JobView{job.tenant, views, job.loss_rate, job.max_retransmits},
-          report.result, report);
+  std::vector<float> result(job.workers.empty() ? 0
+                                                : job.workers.front().size());
+  JobReport report = reduce(
+      JobView{job.tenant, views, job.loss_rate, job.max_retransmits}, result);
+  report.result = std::move(result);
   return report;
-}
-
-JobReport AggregationService::reduce(const JobRequest& job) {
-  // Synchronous jobs never queue, but they DO charge the tenant's token
-  // bucket: a tenant's rate limit covers its whole submission surface, not
-  // just the async path.
-  admit_direct(job.tenant);
-  return reduce_admitted(job);
 }
 
 JobReport AggregationService::reduce(const JobView& job,
                                      std::span<float> out) {
-  admit_direct(job.tenant);
+  // Synchronous jobs never queue, but they DO charge the tenant's token
+  // bucket: a tenant's rate limit covers its whole submission surface, not
+  // just the async path. Without QoS, job_mu_ is never touched here.
+  if (qos_enabled_) {
+    util::UniqueLock lk(job_mu_);
+    admit(lk, job.tenant, /*queued=*/false);
+  }
   JobReport report;
   run_job(job, out, report);
   return report;
@@ -566,45 +571,37 @@ JobReport AggregationService::reduce(const JobView& job,
 
 void AggregationService::run_pass_task(PassContext& ctx, int shard) {
   const auto s = static_cast<std::size_t>(shard);
+  const JobRun& run = *ctx.run;
   PassContext::ShardSlot& slot = ctx.slots[s];
-  util::Rng rng(task_seed(opts_.loss_seed, ctx.job_id, shard, ctx.pass));
+  const std::uint64_t job_id = run.report.job_id;
+  util::Rng rng(task_seed(opts_.loss_seed, job_id, shard, ctx.pass));
   // One deterministic fault stream per (job, shard, pass), exactly like
   // the loss stream: replaying a job replays its faults.
   std::unique_ptr<fault::FaultEngine> faults;
   if (opts_.fault.enabled) {
     faults = std::make_unique<fault::FaultEngine>(
-        opts_.fault, task_seed(opts_.fault.seed, ctx.job_id, shard, ctx.pass),
+        opts_.fault, task_seed(opts_.fault.seed, job_id, shard, ctx.pass),
         opts_.lanes);
   }
   try {
-    run_shard_chunks(shard, *shards_[s], (*ctx.ranges)[s], (*ctx.parts)[s],
-                     ctx.workers, ctx.out, ctx.params, rng, slot.stats,
-                     faults.get(), ctx.dead_mask, ctx.trace, ctx.pass_span);
+    run_shard_chunks(shard, *shards_[s], run.ranges[s], run.parts[s],
+                     run.job.workers, run.out, run.params, rng, slot.stats,
+                     faults.get(), run.dead_mask, run.trace, ctx.pass_span);
   } catch (...) {
     slot.error = std::current_exception();
   }
 }
 
-std::vector<std::exception_ptr> AggregationService::run_pass(
-    const std::vector<std::vector<std::size_t>>& parts,
-    const std::vector<SlotRange>& ranges,
-    std::span<const std::span<const float>> workers, std::span<float> out,
-    const JobParams& params, std::uint64_t job_id, std::uint64_t pass,
-    std::uint32_t dead_mask, JobReport& report, telemetry::Trace* trace,
-    telemetry::Trace::SpanId pass_span) {
+std::vector<std::exception_ptr> AggregationService::run_pass(JobRun& run) {
   PassContext ctx;
-  ctx.parts = &parts;
-  ctx.ranges = &ranges;
-  ctx.workers = workers;
-  ctx.out = out;
-  ctx.params = params;
-  ctx.job_id = job_id;
-  ctx.pass = pass;
-  ctx.dead_mask = dead_mask;
-  ctx.trace = trace;
-  ctx.pass_span = pass_span;
+  ctx.run = &run;
+  ctx.pass = run.pass_no++;
+  telemetry::ScopedSpan pass_span(run.trace, "pass", run.job_span);
+  if (run.trace) pass_span.annotate("pass", std::to_string(ctx.pass));
+  ctx.pass_span = pass_span.id();
   ctx.slots.resize(shards_.size());
   std::vector<std::exception_ptr> errors(shards_.size());
+  const auto& parts = run.parts;
   int active = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (!parts[s].empty()) ++active;
@@ -641,7 +638,7 @@ std::vector<std::exception_ptr> AggregationService::run_pass(
   // Merge under the join — single-threaded, after every worker's release
   // decrement — instead of from N workers into adjacent vector elements.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    report.per_shard[s] += ctx.slots[s].stats;  // += : retry passes merge in
+    run.report.per_shard[s] += ctx.slots[s].stats;  // retry passes merge in
     errors[s] = ctx.slots[s].error;
   }
   if (!inline_dispatch_) {
@@ -725,135 +722,132 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
     if (trace) trace->end(job_span);
     return;
   }
-  const auto job_t0 = std::chrono::steady_clock::now();
 
-  const bool fo = opts_.failover.enabled;
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t chunks = (n + lanes - 1) / lanes;
-  const telemetry::Trace::SpanId part_span =
-      trace ? trace->begin("partition", job_span) : telemetry::Trace::kNone;
-  auto parts = router_.partition(chunks);
+  JobRun run{
+      .job = job,
+      .out = out,
+      .report = report,
+      .trace = trace,
+      .job_span = job_span,
+      .params = {job.loss_rate >= 0.0 ? job.loss_rate : opts_.loss_rate,
+                 job.max_retransmits >= 0 ? job.max_retransmits
+                                          : opts_.max_retransmits},
+      .chunks = (n + lanes - 1) / lanes,
+      .t0 = std::chrono::steady_clock::now(),
+      .ranges = std::vector<SlotRange>(shards_.size()),
+  };
+  std::exception_ptr error;
+  bool planned = false;
+  {
+    telemetry::ScopedSpan part_span(trace, "partition", job_span);
+    planned = plan(run);
+  }
+  if (planned) {
+    {
+      telemetry::ScopedSpan acq(trace, "acquire_slots", job_span);
+      acquire(run);
+    }
+    error = run_passes(run);
+  } else {
+    error = std::make_exception_ptr(
+        std::runtime_error("cluster: no alive shards"));
+  }
+  release(run, /*scrub=*/error != nullptr);
+  finish(run, error != nullptr);
+  if (error) std::rethrow_exception(error);
+}
 
-  // Job-level failover accounting: lives on the job total (and tenant
-  // stats), not on any one shard — a re-route is a fabric event.
-  switchml::SessionStats failover_delta{};
-
-  // One liveness snapshot per job: the fold below routes around shards
+bool AggregationService::plan(JobRun& run) {
+  run.parts = router_.partition(run.chunks);
+  if (!opts_.failover.enabled) return true;
+  // One liveness snapshot per plan: the fold below routes around shards
   // dead at snapshot time, and range acquisition follows the folded parts
   // (non-empty chunks ⟹ a range), so a concurrent death can never hand a
   // task chunks without a slot range. A shard that dies after the
   // snapshot just fails this job's pass and the retry machinery recovers.
-  std::vector<char> alive_mask(shards_.size(), 1);
-  if (fo) {
-    const std::vector<int> alive = health_.alive_shards();
-    if (alive.empty()) {
-      {
-        util::LockGuard lk(stats_mu_);
-        ++jobs_failed_;
-        // The tenant's SLO book must agree with the service-level counter.
-        tenant_account_locked(job.tenant)
-            .slo.record(0.0, /*completed=*/false, /*failed_over=*/false);
-      }
-      m_jobs_[1]->inc();
-      if (trace) {
-        trace->annotate(job_span, "outcome", "failed");
-        trace->end(part_span);
-        trace->end(job_span);
-      }
-      throw std::runtime_error("cluster: no alive shards");
+  const std::vector<int> alive = health_.alive_shards();
+  if (alive.empty()) return false;
+  // Route around shards already known dead before sending a packet: the
+  // degraded (N-1) steady state after a death.
+  for (std::size_t s = 0; s < run.parts.size(); ++s) {
+    std::vector<std::size_t>& p = run.parts[s];
+    if (p.empty() ||
+        std::binary_search(alive.begin(), alive.end(), static_cast<int>(s))) {
+      continue;
     }
-    std::fill(alive_mask.begin(), alive_mask.end(), 0);
-    for (const int s : alive) alive_mask[static_cast<std::size_t>(s)] = 1;
-    // Route around shards already known dead before sending a packet: the
-    // degraded (N-1) steady state after a death.
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      if (parts[s].empty() || alive_mask[s]) continue;
-      const auto re =
-          router_.reroute(parts[s], static_cast<int>(s), alive);
-      failover_delta.chunks_rerouted += parts[s].size();
-      parts[s].clear();
-      for (std::size_t t = 0; t < re.size(); ++t) {
-        parts[t].insert(parts[t].end(), re[t].begin(), re[t].end());
-      }
-    }
-    for (auto& p : parts) std::sort(p.begin(), p.end());
+    // Only the first plan books the fold: a whole-job replay re-routes the
+    // same corpses' chunks again.
+    if (run.pass_no == 0) run.failover.chunks_rerouted += p.size();
+    rehome(router_, p, static_cast<int>(s), alive, run.parts);
+    p.clear();
   }
-  if (trace) trace->end(part_span);
+  for (auto& p : run.parts) std::sort(p.begin(), p.end());
+  return true;
+}
 
-  // Acquire one slot range per ACTIVE shard, in ascending shard order (the
-  // same order for every job: no circular wait between tenants). A retry
-  // pass releases every held range first and re-acquires only its targets
-  // — holding nothing while waiting keeps that deadlock-free too, and the
+void AggregationService::acquire(JobRun& run) {
+  // One slot range per ACTIVE shard, in ascending shard order (the same
+  // order for every job: no circular wait between tenants). A retry pass
+  // releases every held range first and re-acquires only its targets —
+  // holding nothing while waiting keeps that deadlock-free too, and the
   // healthy path never pays for ranges it doesn't route to.
-  std::vector<SlotRange> ranges(shards_.size());
-  const auto acquire_ranges =
-      [this, &ranges](const std::vector<std::vector<std::size_t>>& want) {
-        util::UniqueLock lk(alloc_mu_);
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-          if (want[s].empty()) continue;
-          for (;;) {
-            if (auto r = shards_[s]->slots.allocate(opts_.slots_per_job)) {
-              ranges[s] = *r;
-              break;
-            }
-            alloc_cv_.wait(lk);
-          }
-        }
-      };
-  {
-    telemetry::ScopedSpan acq(trace, "acquire_slots", job_span);
-    acquire_ranges(parts);
+  util::UniqueLock lk(alloc_mu_);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (run.parts[s].empty()) continue;
+    for (;;) {
+      if (auto r = shards_[s]->slots.allocate(opts_.slots_per_job)) {
+        run.ranges[s] = *r;
+        break;
+      }
+      alloc_cv_.wait(lk);
+    }
   }
+}
 
-  const JobParams params{
-      job.loss_rate >= 0.0 ? job.loss_rate : opts_.loss_rate,
-      job.max_retransmits >= 0 ? job.max_retransmits : opts_.max_retransmits};
-  const std::span<const std::span<const float>> workers = job.workers;
+void AggregationService::release(JobRun& run, bool scrub) {
+  if (scrub) {
+    // Lossless control-plane resets: partial sums and dedup-bitmap bits of
+    // an aborted attempt never reach the range's next user, and the resets
+    // bump the slot epochs, so any straggler packet of it is provably stale.
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (!run.ranges[s].empty()) scrub_range(*shards_[s], run.ranges[s]);
+    }
+  }
+  {
+    util::LockGuard lk(alloc_mu_);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (!run.ranges[s].empty()) shards_[s]->slots.release(run.ranges[s]);
+      run.ranges[s] = SlotRange{};
+    }
+  }
+  alloc_cv_.notify_all();
+}
 
-  const auto begin_pass = [&](int pass_no) {
-    if (!trace) return telemetry::Trace::kNone;
-    const auto id = trace->begin("pass", job_span);
-    trace->annotate(id, "pass", std::to_string(pass_no));
-    return id;
-  };
-
-  std::exception_ptr error;
-  bool failed = false;
-  int reroutes = 0;
-  // Worker-death recovery state: the mask of workers declared dead so far
-  // (threaded into every pass so shard tasks skip them), and a distinct
-  // pass counter so every replay draws a fresh, deterministic fault/loss
-  // stream (for failover-only jobs it equals `reroutes`, preserving the
-  // pre-fault seed sequence exactly).
-  std::uint32_t dead_mask = 0;
-  int worker_replays = 0;
-  std::uint64_t pass_no = 0;
-  telemetry::Trace::SpanId pass_span = begin_pass(0);
-  auto errors = run_pass(parts, ranges, workers, out, params, report.job_id,
-                         0, dead_mask, report, trace, pass_span);
-  if (trace) trace->end(pass_span);
+std::exception_ptr AggregationService::run_passes(JobRun& run) {
+  const bool fo = opts_.failover.enabled;
+  const int num_workers = static_cast<int>(run.job.workers.size());
   for (;;) {
+    const std::vector<std::exception_ptr> errors = run_pass(run);
     // Classify this pass's outcome: shard deaths are failover candidates,
     // a dead WORKER is a job-level event handled by policy below, anything
-    // else fails the job as before.
+    // else fails the job.
     std::exception_ptr fatal;
-    std::vector<int> dead_now;
-    bool any_error = false;
-    std::exception_ptr worker_dead_err;
+    std::exception_ptr worker_dead;
     int dead_worker = -1;
+    std::vector<int> dead_now;
     for (std::size_t s = 0; s < errors.size(); ++s) {
       if (!errors[s]) {
-        if (!parts[s].empty()) health_.record_success(static_cast<int>(s));
+        if (!run.parts[s].empty()) health_.record_success(static_cast<int>(s));
         continue;
       }
-      any_error = true;
       try {
         std::rethrow_exception(errors[s]);
       } catch (const fault::WorkerDeadError& e) {
         // The shard answered every probe — the WORKER's data is what's
         // never coming. Leave shard health alone.
-        if (!worker_dead_err) {
-          worker_dead_err = errors[s];
+        if (!worker_dead) {
+          worker_dead = errors[s];
           dead_worker = e.worker();
         }
       } catch (const ShardDeadError&) {
@@ -868,87 +862,38 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
         if (!fatal) fatal = errors[s];
       }
     }
-    if (!any_error) break;  // pass completed cleanly
-    if (worker_dead_err && !fatal) {
+    if (!fatal && !worker_dead && dead_now.empty()) return nullptr;  // done
+
+    if (worker_dead && !fatal) {
       // Worker death outranks shard retries: shards with fewer waves
       // finished before the death wave WITH the dead worker's data, so
       // patching per shard cannot excise it — under kDegrade the whole job
-      // replays over the survivors (against a freshly computed partition,
-      // so it composes with any shard deaths recorded above).
-      ++failover_delta.faults.workers_declared_dead;
-      failover_delta.dead_workers |= 1u << static_cast<unsigned>(dead_worker);
-      dead_mask |= 1u << static_cast<unsigned>(dead_worker);
-      const bool degrade = opts_.fault.dead_worker_policy ==
-                           fault::DeadWorkerPolicy::kDegrade;
-      if (!degrade ||
-          std::popcount(dead_mask) >=
-              static_cast<int>(job.workers.size()) ||
-          ++worker_replays > static_cast<int>(job.workers.size())) {
-        error = worker_dead_err;
-        failed = true;
-        break;
+      // replays over the survivors, against a fresh plan (so it composes
+      // with any shard deaths recorded above).
+      const std::uint32_t bit = 1u << static_cast<unsigned>(dead_worker);
+      ++run.failover.faults.workers_declared_dead;
+      run.failover.dead_workers |= bit;
+      run.dead_mask |= bit;
+      if (opts_.fault.dead_worker_policy != fault::DeadWorkerPolicy::kDegrade ||
+          std::popcount(run.dead_mask) >= num_workers ||
+          ++run.worker_replays > num_workers || !plan(run)) {
+        return worker_dead;
       }
-      auto replay_parts = router_.partition(chunks);
-      if (fo) {
-        const std::vector<int> alive = health_.alive_shards();
-        if (alive.empty()) {
-          error = worker_dead_err;
-          failed = true;
-          break;
-        }
-        std::vector<char> alive2(shards_.size(), 0);
-        for (const int a : alive) alive2[static_cast<std::size_t>(a)] = 1;
-        for (std::size_t s = 0; s < replay_parts.size(); ++s) {
-          if (replay_parts[s].empty() || alive2[s]) continue;
-          const auto re =
-              router_.reroute(replay_parts[s], static_cast<int>(s), alive);
-          replay_parts[s].clear();
-          for (std::size_t t = 0; t < re.size(); ++t) {
-            replay_parts[t].insert(replay_parts[t].end(), re[t].begin(),
-                                   re[t].end());
-          }
-        }
-        for (auto& p : replay_parts) std::sort(p.begin(), p.end());
-      }
-      // Scrub everything the aborted attempt touched (the resets bump the
-      // slot epochs, so any straggler packet of that attempt is provably
-      // stale), swap the held ranges for the replay layout, and rerun.
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (!ranges[s].empty()) scrub_range(*shards_[s], ranges[s]);
-      }
-      ++failover_delta.faults.epoch_bumps;
-      {
-        util::LockGuard lk(alloc_mu_);
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-          if (!ranges[s].empty()) shards_[s]->slots.release(ranges[s]);
-          ranges[s] = SlotRange{};
-        }
-      }
-      alloc_cv_.notify_all();
-      acquire_ranges(replay_parts);
-      parts = std::move(replay_parts);
-      ++pass_no;
-      pass_span = begin_pass(static_cast<int>(pass_no));
-      errors = run_pass(parts, ranges, workers, out, params, report.job_id,
-                        pass_no, dead_mask, report, trace, pass_span);
-      if (trace) trace->end(pass_span);
+      release(run, /*scrub=*/true);
+      ++run.failover.faults.epoch_bumps;
+      acquire(run);
       continue;
     }
-    if (!fo || fatal || dead_now.empty() ||
-        reroutes >= opts_.failover.max_reroutes_per_job) {
-      for (const std::exception_ptr& e : errors) {
-        if (e && !error) error = e;
-      }
-      if (fatal) error = fatal;
-      failed = true;
-      break;
+    if (fatal) return fatal;
+    // Only shard deaths are left, so failover is on: retry their chunks on
+    // the survivors, at most max_reroutes_per_job times.
+    const std::exception_ptr first_death =
+        errors[static_cast<std::size_t>(dead_now.front())];
+    if (run.reroutes >= opts_.failover.max_reroutes_per_job) {
+      return first_death;
     }
     const std::vector<int> alive = health_.alive_shards();
-    if (alive.empty()) {
-      error = errors[static_cast<std::size_t>(dead_now.front())];
-      failed = true;
-      break;
-    }
+    if (alive.empty()) return first_death;
     // Failover: scrub each corpse's range (in a real rack the replacement
     // switch comes up zeroed; here the scrub models that re-image — the
     // survivors' slots were already reset by their own collects), re-home
@@ -956,87 +901,57 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
     // cleanly. Chunk sums are order-free across shards — every chunk is
     // one private slot fed in worker order — so the retried values are
     // bit-identical to a no-failure run.
-    telemetry::Trace::SpanId fo_span = telemetry::Trace::kNone;
-    if (trace) {
-      fo_span = trace->begin("failover", job_span);
+    telemetry::ScopedSpan fo_span(run.trace, "failover", run.job_span);
+    if (run.trace) {
       std::string dead;
       for (const int d : dead_now) {
         if (!dead.empty()) dead += ",";
         dead += std::to_string(d);
       }
-      trace->annotate(fo_span, "dead_shards", dead);
-      trace->annotate(fo_span, "retry", std::to_string(reroutes + 1));
+      fo_span.annotate("dead_shards", dead);
+      fo_span.annotate("retry", std::to_string(run.reroutes + 1));
     }
-    std::vector<std::vector<std::size_t>> retry_parts(shards_.size());
+    std::vector<std::vector<std::size_t>> retry(shards_.size());
     for (const int d : dead_now) {
       const auto ds = static_cast<std::size_t>(d);
-      scrub_range(*shards_[ds], ranges[ds]);
-      const auto re = router_.reroute(parts[ds], d, alive);
-      failover_delta.chunks_rerouted += parts[ds].size();
-      ++failover_delta.shard_failures;
-      for (std::size_t t = 0; t < re.size(); ++t) {
-        retry_parts[t].insert(retry_parts[t].end(), re[t].begin(),
-                              re[t].end());
-      }
+      scrub_range(*shards_[ds], run.ranges[ds]);
+      rehome(router_, run.parts[ds], d, alive, retry);
+      run.failover.chunks_rerouted += run.parts[ds].size();
+      ++run.failover.shard_failures;
     }
-    for (auto& p : retry_parts) std::sort(p.begin(), p.end());
+    for (auto& p : retry) std::sort(p.begin(), p.end());
     // Release EVERY held range before re-acquiring the retry targets:
     // waiting on the allocator while holding nothing cannot deadlock with
     // other tenants, and the freed slots let their jobs make progress.
-    {
-      util::LockGuard lk(alloc_mu_);
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (!ranges[s].empty()) shards_[s]->slots.release(ranges[s]);
-        ranges[s] = SlotRange{};
-      }
-    }
-    alloc_cv_.notify_all();
-    acquire_ranges(retry_parts);
-    if (trace) trace->end(fo_span);
-    ++failover_delta.failover_retries;
-    ++reroutes;
-    ++pass_no;
-    parts = std::move(retry_parts);
-    pass_span = begin_pass(static_cast<int>(pass_no));
-    errors = run_pass(parts, ranges, workers, out, params, report.job_id,
-                      pass_no, dead_mask, report, trace, pass_span);
-    if (trace) trace->end(pass_span);
+    release(run, /*scrub=*/false);
+    run.parts = std::move(retry);
+    acquire(run);
+    ++run.failover.failover_retries;
+    ++run.reroutes;
   }
+}
 
-  if (failed) {
-    // A failed job can leave partial sums and dedup-bitmap bits in its
-    // slots; scrub them (lossless control-plane resets) before the ranges
-    // go back into the pool for the next tenant.
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!ranges[s].empty()) scrub_range(*shards_[s], ranges[s]);
-    }
-  }
-  {
-    util::LockGuard lk(alloc_mu_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!ranges[s].empty()) shards_[s]->slots.release(ranges[s]);
-    }
-  }
-  alloc_cv_.notify_all();
-
+void AggregationService::finish(JobRun& run, bool failed) {
   const double wall_s =
       static_cast<double>(
-          elapsed_ns(job_t0, std::chrono::steady_clock::now())) *
+          elapsed_ns(run.t0, std::chrono::steady_clock::now())) *
       1e-9;
+  JobReport& report = run.report;
+  const switchml::SessionStats& fo = run.failover;
+  telemetry::Trace* const trace = run.trace;
   const telemetry::Trace::SpanId merge_span =
-      trace ? trace->begin("merge", job_span) : telemetry::Trace::kNone;
+      trace ? trace->begin("merge", run.job_span) : telemetry::Trace::kNone;
   {
     util::LockGuard lk(stats_mu_);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       shards_[s]->stats += report.per_shard[s];
       report.stats += report.per_shard[s];
     }
-    report.stats += failover_delta;
-    fabric_stats_ += failover_delta;
-    TenantAccount& account = tenant_account_locked(job.tenant);
+    report.stats += fo;
+    fabric_stats_ += fo;
+    TenantAccount& account = tenant_account_locked(run.job.tenant);
     account.stats += report.stats;
-    account.slo.record(wall_s, !failed,
-                       failover_delta.failover_retries > 0);
+    account.slo.record(wall_s, !failed, fo.failover_retries > 0);
     if (failed) {
       ++jobs_failed_;
     } else {
@@ -1046,15 +961,9 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   // Registry: job outcome, wall time and fabric-level failover events.
   m_jobs_[failed ? 1 : 0]->inc();
   m_job_wall_->observe(wall_s);
-  if (failover_delta.shard_failures != 0) {
-    m_shard_deaths_->inc(failover_delta.shard_failures);
-  }
-  if (failover_delta.chunks_rerouted != 0) {
-    m_rerouted_->inc(failover_delta.chunks_rerouted);
-  }
-  if (failover_delta.failover_retries != 0) {
-    m_retries_->inc(failover_delta.failover_retries);
-  }
+  if (fo.shard_failures != 0) m_shard_deaths_->inc(fo.shard_failures);
+  if (fo.chunks_rerouted != 0) m_rerouted_->inc(fo.chunks_rerouted);
+  if (fo.failover_retries != 0) m_retries_->inc(fo.failover_retries);
   if (report.stats.faults.epoch_bumps != 0) {
     m_fault_[0]->inc(report.stats.faults.epoch_bumps);
   }
@@ -1066,10 +975,9 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   }
   if (trace) {
     trace->end(merge_span);
-    trace->annotate(job_span, "outcome", failed ? "failed" : "completed");
-    trace->end(job_span);
+    trace->annotate(run.job_span, "outcome", failed ? "failed" : "completed");
+    trace->end(run.job_span);
   }
-  if (failed) std::rethrow_exception(error);
 }
 
 std::future<JobReport> AggregationService::submit(JobRequest job) {
@@ -1078,10 +986,17 @@ std::future<JobReport> AggregationService::submit(JobRequest job) {
   // on other tasks and job runners never wait on other jobs — ranges are
   // acquired in ascending shard order — so no fleet of tenants can
   // deadlock or grow the thread count.) Admission is charged once, at
-  // enqueue time; the runner body takes the already-admitted path.
+  // enqueue time; the runner body goes straight to run_job.
   std::string tenant = job.tenant;
   return enqueue_job(tenant, [this, j = std::move(job)]() {
-    return reduce_admitted(j);
+    const std::vector<std::span<const float>> views(j.workers.begin(),
+                                                    j.workers.end());
+    JobReport report;
+    report.result.assign(j.workers.empty() ? 0 : j.workers.front().size(),
+                         0.0f);
+    run_job(JobView{j.tenant, views, j.loss_rate, j.max_retransmits},
+            report.result, report);
+    return report;
   });
 }
 

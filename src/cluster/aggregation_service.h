@@ -295,29 +295,51 @@ class AggregationService {
   /// shard, pass)); errors land in the shard's PassContext slot.
   void run_pass_task(PassContext& ctx, int shard);
   void job_runner_loop();
-  /// Runs one job end to end (validation, range acquisition, shard fan-out,
-  /// failover recovery, accounting), writing the sum into `out`. Both
-  /// reduce() overloads and every submit path land here — admission happens
-  /// strictly BEFORE this point, so the datapath never sees QoS.
+  /// Runs one job end to end and writes the sum into `out`. Both reduce()
+  /// overloads and every submit path land here — admission happens
+  /// strictly BEFORE this point, so the datapath never sees QoS. After
+  /// validation a job is one loop over the steps below, each written once:
+  ///   plan → acquire → pass → classify →
+  ///     {done | replay whole job | failover retry | fail}
+  ///   → release → finish.
+  /// A dead worker under kDegrade replays the whole job (release with
+  /// scrub, plan, acquire); a dead shard under failover retries its chunks
+  /// on the survivors (scrub the corpse, release, acquire); either loops
+  /// back to pass. Every job that got a job id is finished exactly once —
+  /// books, registry and trace — the "no alive shards" job included.
   void run_job(const JobView& job, std::span<float> out, JobReport& report);
-  /// reduce(JobRequest) minus admission: the submit path's runner body
-  /// (its job was admitted at enqueue time; admitting again at pickup
-  /// would double-charge the tenant's bucket).
-  JobReport reduce_admitted(const JobRequest& job);
+  /// One job's control state (defined in the .cpp; lives on run_job's
+  /// stack).
+  struct JobRun;
+  /// plan: partitions the job's chunks and, under failover, folds the
+  /// chunks of shards dead at one liveness snapshot onto the survivors.
+  /// False when no shard is alive. Only the first plan of a job books the
+  /// fold as chunks_rerouted.
+  bool plan(JobRun& run);
+  /// acquire: one slot range per shard that has chunks, ascending order.
+  void acquire(JobRun& run);
+  /// release: returns every held range to its shard (scrubbing them first
+  /// when `scrub`) and wakes waiting acquirers.
+  void release(JobRun& run, bool scrub);
+  /// pass → classify → {replay | failover retry}, until the job is done
+  /// (returns null) or fails (returns the error to surface).
+  std::exception_ptr run_passes(JobRun& run);
+  /// finish: books the outcome — shard, tenant, SLO and fabric stats,
+  /// registry counters and job wall — and closes the job's trace.
+  void finish(JobRun& run, bool failed);
   std::future<JobReport> enqueue_job(std::string_view tenant,
                                      std::function<JobReport()> fn);
-  /// QoS admission for an async submission: charges the tenant's token
-  /// bucket and queue bound; returns the tenant's Priority class for the
-  /// scheduler push. kReject (or an expired kBlock deadline) records the
-  /// rejection and throws AdmissionRejectedError; kBlock waits on
-  /// admission_cv_. Caller holds job_mu_ via `lk`; on throw the lock has
-  /// been released. No-QoS mode returns kQuery without touching state.
-  qos::Priority admit_queued(util::UniqueLock& lk, std::string_view tenant)
-      FPISA_REQUIRES(job_mu_) FPISA_EXCLUDES(stats_mu_);
-  /// QoS admission for a synchronous reduce(): rate limit only (the job
-  /// runs inline on the caller's thread — queue bounds don't apply).
-  void admit_direct(std::string_view tenant)
-      FPISA_EXCLUDES(job_mu_, stats_mu_);
+  /// QoS admission: charges the tenant's token bucket and, when `queued`
+  /// (an async submission), its queue bound; a synchronous reduce() runs
+  /// inline on the caller's thread, so only the rate limit applies. Returns
+  /// the tenant's Priority class for the scheduler push. kReject (or an
+  /// expired kBlock deadline) records the rejection and throws
+  /// AdmissionRejectedError; kBlock waits on admission_cv_. Caller holds
+  /// job_mu_ via `lk`; on throw the lock has been released. No-QoS mode
+  /// returns kQuery without touching state.
+  qos::Priority admit(util::UniqueLock& lk, std::string_view tenant,
+                      bool queued) FPISA_REQUIRES(job_mu_)
+      FPISA_EXCLUDES(stats_mu_);
   /// Books a rejection (SLO entry + jobs_rejected + registry counters) and
   /// throws AdmissionRejectedError. `lk` (job_mu_) is released first:
   /// rejection accounting takes stats_mu_ and the two must never nest —
@@ -329,17 +351,12 @@ class AggregationService {
   /// Refreshes the queue-depth gauges (total + per-class). Caller holds
   /// job_mu_.
   void refresh_queue_gauges() FPISA_REQUIRES(job_mu_);
-  /// One fan-out/join pass: a task per shard with chunks, stats merged into
-  /// `report.per_shard`. Returns one exception slot per shard (null =
-  /// succeeded or inactive). `pass` salts the per-task loss streams so a
-  /// retry pass draws fresh, deterministic schedules.
-  std::vector<std::exception_ptr> run_pass(
-      const std::vector<std::vector<std::size_t>>& parts,
-      const std::vector<SlotRange>& ranges,
-      std::span<const std::span<const float>> workers, std::span<float> out,
-      const JobParams& params, std::uint64_t job_id, std::uint64_t pass,
-      std::uint32_t dead_mask, JobReport& report, telemetry::Trace* trace,
-      telemetry::Trace::SpanId pass_span);
+  /// pass: one fan-out/join over `run.parts`, traced as a `pass` span — a
+  /// task per shard with chunks, stats merged into `report.per_shard`.
+  /// Returns one exception slot per shard (null = succeeded or inactive).
+  /// Each pass takes the next `run.pass_no`, which salts the per-task loss
+  /// streams so a retry pass draws fresh, deterministic schedules.
+  std::vector<std::exception_ptr> run_pass(JobRun& run);
   /// One shard task: the wave loop of a switchml::WaveEngine over `range`,
   /// plus the cluster's hooks — injected kills and stragglers, per-wave
   /// trace spans, one phase-histogram observation per task. Every failure

@@ -277,8 +277,8 @@ enum class HostAlgorithm {
 
 /// Host backend: the aggregator zoo behind the communicator interface.
 /// Either owns an aggregator picked by HostAlgorithm, or wraps a
-/// caller-owned switchml::GradientAggregator (the adapter the trainer's
-/// legacy constructor rides on).
+/// caller-owned switchml::GradientAggregator (how a trainer or bench runs
+/// over any aggregator in the zoo).
 class HostCommunicator final : public Communicator {
  public:
   explicit HostCommunicator(HostAlgorithm algo = HostAlgorithm::kFpisa,

@@ -15,6 +15,8 @@
 #include "cluster/shard_health.h"
 #include "cluster/shard_router.h"
 #include "core/packed.h"
+#include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 #include "util/rng.h"
 
 namespace fpisa::cluster {
@@ -281,16 +283,43 @@ TEST(Failover, AllShardsDeadFailsLoudly) {
   opts.failover.faults = {
       ShardFault{0, FaultKind::kKill, FaultPhase::kBeforeJob, 0, 0.0},
       ShardFault{1, FaultKind::kKill, FaultPhase::kBeforeJob, 0, 0.0}};
+  const telemetry::Snapshot before = telemetry::snapshot();
   AggregationService svc(opts);
   EXPECT_THROW(svc.reduce({"t", workers}), std::runtime_error);
   EXPECT_EQ(svc.health().num_alive(), 0);
   EXPECT_EQ(svc.jobs_failed(), 1u);
   // With no fabric left, later jobs fail fast instead of hanging — and
   // the per-tenant SLO book must agree with the service-level counter.
+  telemetry::Trace tr;
+  svc.attach_trace(&tr);
   EXPECT_THROW(svc.reduce({"t", workers}), std::runtime_error);
+  svc.attach_trace(nullptr);
+  int merges = 0;
+  for (const auto& span : tr.spans()) {
+    if (span.name == "merge") ++merges;
+    EXPECT_GE(span.dur_ns, 0) << span.name << " left open";
+  }
+  EXPECT_EQ(merges, 1);
   EXPECT_EQ(svc.jobs_failed(), 2u);
   EXPECT_EQ(svc.tenant_slo("t").jobs_failed, 2u);
   EXPECT_EQ(svc.tenant_slo("t").jobs_completed, 0u);
+  // Every job that got a job id is finished once, the fail-fast ones too:
+  // one job-wall observation per completed or failed job.
+  const telemetry::Snapshot after = telemetry::snapshot();
+  const auto jobs = [&](const char* outcome) {
+    return after.counter_total("cluster_jobs_total", {{"outcome", outcome}}) -
+           before.counter_total("cluster_jobs_total", {{"outcome", outcome}});
+  };
+  const auto wall_count = [](const telemetry::Snapshot& snap) {
+    std::uint64_t n = 0;
+    for (const auto& h : snap.histograms) {
+      if (h.name == "cluster_job_wall_seconds") n += h.count;
+    }
+    return n;
+  };
+  EXPECT_EQ(jobs("failed"), 2u);
+  EXPECT_EQ(wall_count(after) - wall_count(before),
+            jobs("completed") + jobs("failed"));
 }
 
 TEST(Failover, KillShardRequiresFailoverAndValidates) {

@@ -308,6 +308,44 @@ TEST(ClusterFaults, DeadWorkerDegradeReplaysWholeJobOverSurvivors) {
   EXPECT_EQ(stats.dead_workers, 1u << 0);
 }
 
+TEST(ClusterFaults, DegradeReplayRoutesAroundADeadShard) {
+  // A whole-job replay re-partitions the job and must fold the chunks of a
+  // shard that is already dead onto the survivors, exactly like the first
+  // pass did — but book chunks_rerouted for the first pass only.
+  const auto workers = make_exact_workers(4, 96, 225);
+  std::vector<std::vector<float>> survivors(workers.begin() + 1,
+                                            workers.end());
+  auto opts = base_cluster_opts();
+  opts.failover.enabled = true;
+  const auto want = cluster_reduce(opts, survivors);
+
+  opts.fault.enabled = true;
+  opts.fault.seed = 35;
+  opts.fault.dead_worker = 0;
+  opts.fault.dead_worker_wave = 0;
+  opts.fault.dead_worker_policy = fault::DeadWorkerPolicy::kDegrade;
+  cluster::AggregationService svc(opts);
+  svc.kill_shard(1);
+  cluster::JobRequest job;
+  job.tenant = "t";
+  job.workers = workers;
+  const cluster::JobReport report = svc.reduce(job);
+  expect_bits_equal(report.result, want);
+
+  const std::size_t chunks = (96 + 1) / 2;  // lanes = 2
+  const auto parts = svc.router().partition(chunks);
+  const std::vector<int> alive = {0};
+  const auto moved = svc.router().reroute(parts[1], 1, alive);
+  ASSERT_FALSE(parts[1].empty());
+  EXPECT_EQ(moved[0].size(), parts[1].size());
+  EXPECT_TRUE(moved[1].empty());
+  EXPECT_EQ(report.stats.chunks_rerouted, parts[1].size());
+  EXPECT_EQ(report.stats.faults.workers_declared_dead, 1u);
+  EXPECT_EQ(report.stats.faults.epoch_bumps, 1u);  // one replay, no wipe
+  EXPECT_EQ(report.per_shard[1].packets_sent, 0u);
+  EXPECT_EQ(svc.jobs_completed(), 1u);
+}
+
 TEST(ClusterFaults, FaultTelemetryCountersReachTheRegistry) {
   const auto workers = make_exact_workers(3, 96, 224);
   auto opts = base_cluster_opts();

@@ -322,6 +322,59 @@ TEST(QosService, BlockPolicyDeadlineExpiresAsRejection) {
   EXPECT_EQ(svc.jobs_failed(), 0u);
 }
 
+TEST(QosService, BlockPolicyDeadlineExpiresOnSubmit) {
+  ClusterOptions opts = base_opts();
+  opts.job_runner_threads = 1;
+  opts.qos.enabled = true;
+  qos::TenantQosConfig cfg;
+  cfg.max_queued_jobs = 1;
+  cfg.policy = qos::AdmissionPolicy::kBlock;
+  cfg.block_deadline_s = 0.01;
+  opts.qos.tenants["impatient"] = cfg;
+  AggregationService svc(opts);
+
+  // Park the lone runner on a long job; the first submit fills the
+  // tenant's one queue slot, the second blocks for queue space until its
+  // deadline passes and then gets typed backpressure out of submit().
+  const auto long_workers = make_workers(2, 65536, 41);
+  JobRequest long_job{"blocker", long_workers};
+  long_job.loss_rate = 0.8;
+  long_job.max_retransmits = 512;
+  std::future<JobReport> blocker = svc.submit(std::move(long_job));
+  ASSERT_TRUE(wait_until([&] {
+    return svc.peak_concurrent_jobs() >= 1 &&
+           svc.tenant_queue_depth("blocker") == 0;
+  })) << "runner never picked up the blocker";
+
+  const auto small = make_workers(2, 256, 43);
+  std::future<JobReport> queued = svc.submit(JobRequest{"impatient", small});
+  std::future<JobReport> late;
+  bool rejected = false;
+  try {
+    late = svc.submit(JobRequest{"impatient", small});
+  } catch (const qos::AdmissionRejectedError& e) {
+    rejected = true;
+    EXPECT_EQ(e.reason(), qos::RejectReason::kDeadline);
+  }
+  // While the blocker still runs, the queue slot was never freed, so the
+  // wait must have expired. (A machine slow enough to finish the blocker
+  // first only loses the strictness of this check, not the test.)
+  if (blocker.wait_for(std::chrono::seconds(0)) !=
+      std::future_status::ready) {
+    EXPECT_TRUE(rejected) << "kBlock submit never expired";
+  }
+  EXPECT_NO_THROW(queued.get());
+  if (late.valid()) {
+    EXPECT_NO_THROW(late.get());
+  }
+  EXPECT_NO_THROW(blocker.get());
+  // Booked as a rejection, never as a failure: the job never ran.
+  EXPECT_EQ(svc.jobs_rejected(), rejected ? 1u : 0u);
+  EXPECT_EQ(svc.tenant_slo("impatient").jobs_rejected, rejected ? 1u : 0u);
+  EXPECT_EQ(svc.jobs_failed(), 0u);
+  EXPECT_EQ(svc.tenant_slo("impatient").jobs_failed, 0u);
+}
+
 // --- scheduler integration: overtaking on the job-runner pool ---------------
 
 TEST(QosService, TrainingOvertakesQueuedTelemetry) {
